@@ -56,16 +56,16 @@ struct LfsConfig {
   // cost and device-level write amplification on SSDs).
   uint32_t num_logs = 1;
 
-  // Multi-log only (ignored when num_logs == 1): the cleaner declines
-  // victims whose live fraction is at or above this bar, unless nothing
-  // else is cleanable. Under the classic single log, compacting a nearly
-  // full old segment still pays — it sorts cold data together so future
-  // cleanings skip it. With write-time segregation that sorting already
-  // happened, so re-copying a nearly full cold segment buys almost no free
-  // space and no better layout; worse, the copy keeps the blocks' old
-  // mtimes, so cost-benefit's age term would pick the freshly compacted
-  // segment again and again (a cold-data copy storm). 1.0 disables the bar.
-  double multilog_victim_max_u = 0.85;
+  // The cleaner declines victims whose live fraction is at or above this
+  // bar, unless nothing else is cleanable (the no-wedge fallback). A copy
+  // keeps the blocks' old mtimes, so a compacted cold segment stays "old"
+  // and cost-benefit's age term — which grows with the clock — picks it
+  // again and again at u up to ~0.97, each time reclaiming almost nothing
+  // (a cold-data copy storm). That holds with one log as much as with
+  // several: the age-sort already grouped the cold data the first time it
+  // was copied, so a re-copy buys no better layout either. 1.0 disables the
+  // bar.
+  double victim_max_u = 0.85;
 
   // Issue BlockDevice::Trim for segments that turn clean, after the next
   // checkpoint makes the free durable. Free on devices that ignore it;

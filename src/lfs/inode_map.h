@@ -25,10 +25,11 @@
 #ifndef LFS_LFS_INODE_MAP_H_
 #define LFS_LFS_INODE_MAP_H_
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
+#include <utility>
 #include <vector>
 
 #include "src/lfs/layout.h"
@@ -162,30 +163,27 @@ class InodeLockTable {
   std::unique_ptr<std::shared_mutex[]> stripes_;
 };
 
-// RAII guard over up to four inode stripes (rename touches at most
+// RAII guard over up to kMaxInodes inode stripes (rename touches at most
 // from-dir, to-dir, the moved inode, and a replaced target). Stripes are
 // deduplicated and locked in ascending index order; all shared or all
 // exclusive. A null table makes the guard a no-op, which is how the
-// single-threaded regime compiles the locking out of its paths.
+// single-threaded regime compiles the locking out of its paths. The inode
+// list is a braced list whose length is checked at compile time.
 class InodeLockSet {
  public:
+  static constexpr size_t kMaxInodes = 4;
+
   InodeLockSet() = default;
-  InodeLockSet(InodeLockTable* table, std::initializer_list<InodeNum> inos, bool exclusive)
+  template <size_t N>
+  InodeLockSet(InodeLockTable* table, const InodeNum (&inos)[N], bool exclusive)
       : table_(table), exclusive_(exclusive) {
+    static_assert(N >= 1 && N <= kMaxInodes, "InodeLockSet locks 1 to kMaxInodes inodes");
     if (table_ == nullptr) {
       return;
     }
     for (InodeNum ino : inos) {
-      uint32_t s = table_->StripeOf(ino);
-      bool dup = false;
-      for (int i = 0; i < n_; i++) {
-        dup = dup || stripes_[i] == s;
-      }
-      if (!dup) {
-        stripes_[n_++] = s;
-      }
+      InsertStripe(table_->StripeOf(ino));
     }
-    std::sort(stripes_, stripes_ + n_);
     for (int i = 0; i < n_; i++) {
       if (exclusive_) {
         table_->Stripe(stripes_[i]).lock();
@@ -231,11 +229,27 @@ class InodeLockSet {
   }
 
  private:
+  // Insertion into the sorted, duplicate-free stripes_[0, n_).
+  void InsertStripe(uint32_t s) {
+    int i = n_;
+    while (i > 0 && stripes_[i - 1] > s) {
+      i--;
+    }
+    if (i > 0 && stripes_[i - 1] == s) {
+      return;
+    }
+    for (int j = n_; j > i; j--) {
+      stripes_[j] = stripes_[j - 1];
+    }
+    stripes_[i] = s;
+    n_++;
+  }
+
   InodeLockTable* table_ = nullptr;
   bool exclusive_ = false;
   bool locked_ = false;
   int n_ = 0;
-  uint32_t stripes_[4] = {0, 0, 0, 0};
+  uint32_t stripes_[kMaxInodes] = {};
 };
 
 }  // namespace lfs

@@ -186,10 +186,13 @@ Result<SegmentSummary> SegmentSummary::DecodeFrom(std::span<const uint8_t> block
   if (!dec.ok()) {
     return CorruptionError("segment summary: truncated header");
   }
-  // Verify the block CRC with the CRC field zeroed.
-  std::vector<uint8_t> copy(block.begin(), block.end());
-  copy[36] = copy[37] = copy[38] = copy[39] = 0;
-  if (stored_crc != Crc32(copy)) {
+  // Verify the block CRC as computed with the CRC field zeroed: CRC the bytes
+  // around the field, with four zero bytes standing in for it.
+  constexpr uint8_t kZeroField[4] = {0, 0, 0, 0};
+  uint32_t crc = Crc32Update(Crc32Init(), block.subspan(0, 36));
+  crc = Crc32Update(crc, kZeroField);
+  crc = Crc32Finish(Crc32Update(crc, block.subspan(40)));
+  if (stored_crc != crc) {
     return CorruptionError("segment summary: bad CRC");
   }
   uint32_t max_entries = static_cast<uint32_t>((block.size() - kSummaryHeaderSize) /

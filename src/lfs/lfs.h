@@ -537,6 +537,11 @@ class LfsFileSystem : public FileSystem {
   Status CollectLiveBlocksPartial(SegNo seg, uint32_t max_blocks,
                                   std::vector<LiveBlock>* out, bool* media_damage,
                                   bool* exhausted);
+  // Upper bound on the log blocks a cleaning pass appends: the migrated
+  // `blocks`, the indirect blocks and inodes their rewrite dirties, the
+  // buffered user data (and its metadata) the pass's closing flush pushes
+  // out, and the summary blocks of it all.
+  uint64_t PassWriteBlocks(const std::vector<LiveBlock>& blocks);
 
   // --- recovery (lfs_recovery.cpp) ---
 

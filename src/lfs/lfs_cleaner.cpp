@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <set>
+#include <utility>
 
 #include "src/lfs/lfs.h"
 
@@ -24,8 +26,9 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToClean(uint32_t max_segments) {
   std::vector<uint8_t> off_limits = ProtectedSegmentBitmap();
 
   // Bound the pass so the rewritten live data — plus the buffered user data
-  // the pass's final flush will push out — is guaranteed to fit in the clean
-  // segments we currently have (the cleaner must never wedge itself).
+  // the pass's final flush will push out — fits in the clean segments we
+  // currently have. CleanerPass then trims the victims to the full bound,
+  // metadata included (PassWriteBlocks), so the cleaner never wedges itself.
   uint64_t buffered = dirty_count_.load() * uint64_t{sb_.block_size};
   uint64_t budget = usage_.clean_count() > 1
                         ? (uint64_t{usage_.clean_count()} - 1) * sb_.segment_bytes()
@@ -35,12 +38,11 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToClean(uint32_t max_segments) {
   // Pop candidates from the selection index in exact score order; it holds
   // every kDirty segment, so only the per-candidate filters remain here.
   //
-  // In multi-log mode nearly full victims are declined (see
-  // multilog_victim_max_u) — with a no-wedge fallback: if the bar filtered
-  // everything out, re-select without it rather than refuse to clean while
-  // dead bytes exist.
+  // Nearly full victims are declined (see victim_max_u) — with a no-wedge
+  // fallback: if the bar filtered everything out, re-select without it
+  // rather than refuse to clean while dead bytes exist.
   std::vector<SegNo> chosen;
-  bool decline_full = writer_.num_logs() > 1 && cfg_.multilog_victim_max_u < 1.0;
+  bool decline_full = cfg_.victim_max_u < 1.0;
   for (int attempt = 0; attempt < 2 && chosen.empty(); attempt++) {
     bool bar_active = decline_full && attempt == 0;
     uint64_t planned_live = 0;
@@ -56,8 +58,8 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToClean(uint32_t max_segments) {
       if (usage_.write_seq(seg) >= ckpt_boundary_seq_) {
         continue;
       }
-      if (bar_active && usage_.Utilization(seg) >= cfg_.multilog_victim_max_u) {
-        continue;  // segregated-and-still-live: not worth re-copying
+      if (bar_active && usage_.Utilization(seg) >= cfg_.victim_max_u) {
+        continue;  // nearly full: re-copying it reclaims almost nothing
       }
       uint64_t live = usage_.Get(seg).live_bytes;
       if (planned_live + live > budget) {
@@ -120,7 +122,7 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToCleanReference(uint32_t max_se
                         : 0;
   budget = budget > buffered ? budget - buffered : 0;
   std::vector<SegNo> chosen;
-  bool decline_full = writer_.num_logs() > 1 && cfg_.multilog_victim_max_u < 1.0;
+  bool decline_full = cfg_.victim_max_u < 1.0;
   for (int attempt = 0; attempt < 2 && chosen.empty(); attempt++) {
     bool bar_active = decline_full && attempt == 0;
     uint64_t planned_live = 0;
@@ -128,7 +130,7 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToCleanReference(uint32_t max_se
       if (chosen.size() >= max_segments) {
         break;
       }
-      if (bar_active && usage_.Utilization(s.seg) >= cfg_.multilog_victim_max_u) {
+      if (bar_active && usage_.Utilization(s.seg) >= cfg_.victim_max_u) {
         continue;
       }
       uint64_t live = usage_.Get(s.seg).live_bytes;
@@ -546,7 +548,7 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToCleanAdaptive(
 
   const uint32_t nlogs = writer_.num_logs();
   std::vector<SegNo> chosen;
-  bool decline_full = nlogs > 1 && cfg_.multilog_victim_max_u < 1.0;
+  bool decline_full = cfg_.victim_max_u < 1.0;
   for (int attempt = 0; attempt < 2 && chosen.empty(); attempt++) {
     bool bar_active = decline_full && attempt == 0;
     uint64_t planned_live = 0;
@@ -581,7 +583,7 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToCleanAdaptive(
           if (usage_.write_seq(seg) >= ckpt_boundary_seq_) {
             continue;
           }
-          if (bar_active && usage_.Utilization(seg) >= cfg_.multilog_victim_max_u) {
+          if (bar_active && usage_.Utilization(seg) >= cfg_.victim_max_u) {
             continue;
           }
           uint64_t live = usage_.Get(seg).live_bytes;
@@ -599,6 +601,84 @@ std::vector<SegNo> LfsFileSystem::SelectSegmentsToCleanAdaptive(
     }
   }
   return chosen;
+}
+
+uint64_t LfsFileSystem::PassWriteBlocks(const std::vector<LiveBlock>& blocks) {
+  const uint32_t ppb = sb_.pointers_per_block();
+  uint64_t payload = 0;
+  std::set<InodeNum> files;                               // inodes to rewrite
+  std::set<std::pair<InodeNum, uint64_t>> indirect;       // (file, indirect index)
+  std::set<InodeNum> dind;                                // double-indirect roots
+  auto touch_data = [&](InodeNum ino, uint64_t fbn) {
+    files.insert(ino);
+    if (fbn >= kNumDirect) {
+      uint64_t ind = (fbn - kNumDirect) / ppb;
+      indirect.insert({ino, ind});
+      if (ind >= 1) {
+        dind.insert(ino);
+      }
+    }
+  };
+  for (const LiveBlock& b : blocks) {
+    switch (b.entry.kind) {
+      case BlockKind::kData:
+        payload++;
+        touch_data(b.entry.ino, b.entry.fbn);
+        break;
+      case BlockKind::kIndirect:
+        files.insert(b.entry.ino);
+        indirect.insert({b.entry.ino, b.entry.fbn});
+        if (b.entry.fbn >= 1) {
+          dind.insert(b.entry.ino);
+        }
+        break;
+      case BlockKind::kDoubleIndirect:
+        files.insert(b.entry.ino);
+        dind.insert(b.entry.ino);
+        break;
+      case BlockKind::kInodeBlock:
+        payload++;  // its live inodes repack into at most one block
+        break;
+      case BlockKind::kImapChunk:
+      case BlockKind::kUsageChunk:
+        payload++;
+        break;
+      case BlockKind::kDirLog:
+        break;
+    }
+  }
+  for (const DirtyShard& shard : dirty_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (const auto& [key, data] : shard.blocks) {
+      payload++;
+      touch_data(key.first, key.second);
+    }
+  }
+  std::vector<InodeNum> dirty_inodes;
+  {
+    std::lock_guard<std::mutex> lock(dirty_inodes_mu_);
+    dirty_inodes.assign(dirty_inodes_.begin(), dirty_inodes_.end());
+  }
+  for (InodeNum ino : dirty_inodes) {
+    files.insert(ino);
+    if (const FileMap* fm = FindFileMap(ino)) {
+      for (uint32_t ind : fm->dirty_ind) {
+        indirect.insert({ino, ind});
+      }
+      if (fm->dind_dirty) {
+        dind.insert(ino);
+      }
+    }
+  }
+  const uint32_t ipb = sb_.inodes_per_block();
+  payload += indirect.size() + dind.size() + (files.size() + ipb - 1) / ipb;
+  // One summary per partial; partials end at full segments and summaries,
+  // and at each flush the pass makes (the migration, the dirlog, the closing
+  // flush), and the first one starts in a partly filled segment.
+  const uint64_t per_partial =
+      std::min<uint64_t>(sb_.segment_blocks - 1, sb_.max_summary_entries());
+  const uint64_t summaries = (payload + per_partial - 1) / per_partial + 4;
+  return payload + summaries + 1;  // + a dirlog block
 }
 
 Result<uint32_t> LfsFileSystem::CleanerPass() {
@@ -754,6 +834,24 @@ Result<uint32_t> LfsFileSystem::CleanerPass() {
       stats_.sum_cleaned_utilization -= usage_.Utilization(seg);
     }
     plans.push_back(plan);
+  }
+
+  // The selection budget counts live bytes only. Rewriting a live data block
+  // also rewrites its file's inode and, past the direct pointers, its
+  // indirect block: with cold victims whose blocks belong to many files that
+  // adds ~40% to the data. Drop trailing victims until everything the pass
+  // appends fits in the clean segments, so a pass cannot wedge the log.
+  const uint64_t room = uint64_t{usage_.clean_count()} * sb_.segment_blocks;
+  while (plans.size() > 1 && PassWriteBlocks(live_blocks) > room) {
+    const VictimPlan& last = plans.back();
+    if (last.partial || last.quarantined || last.live_before == 0) {
+      break;
+    }
+    std::erase_if(live_blocks,
+                  [&](const LiveBlock& b) { return sb_.SegOf(b.addr) == last.seg; });
+    stats_.segments_cleaned--;
+    stats_.sum_cleaned_utilization -= last.u_before;
+    plans.pop_back();
   }
 
   // Migrate metadata blocks first (their order is irrelevant), then the data

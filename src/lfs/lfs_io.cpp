@@ -506,8 +506,8 @@ Status LfsFileSystem::WriteAt(InodeNum ino, uint64_t offset, std::span<const uin
   LFS_RETURN_IF_ERROR(EnsureSpaceForWrite(new_blocks_total - old_blocks));
   LFS_RETURN_IF_ERROR(GrowFileMap(fm, new_blocks_total));
 
-  // Mark the inode dirty up front: the incremental flushes below must never
-  // consider this file clean (and thus evictable) mid-write.
+  // Mark the inode dirty up front so the first flush below writes its new
+  // mtime; later flushes re-dirty it through the blocks they write.
   fm->inode.mtime = clock_.Tick();
   fm->inode_dirty = true;
   MarkInodeDirty(ino);
@@ -530,8 +530,15 @@ Status LfsFileSystem::WriteAt(InodeNum ino, uint64_t offset, std::span<const uin
     fm->inode.size = std::max(fm->inode.size, pos);
     // Flush as the write buffer fills, so a single large write streams
     // through segment-sized batches (and the cleaner can keep pace) instead
-    // of accumulating the whole request in memory.
+    // of accumulating the whole request in memory. The flush writes the
+    // inode out and marks it clean, so its TrimFileCache may free this file's
+    // map: look it up again, and re-grow a map reloaded at the size written so
+    // far, before touching it.
     LFS_RETURN_IF_ERROR(MaybeFlush());
+    if (pos < end) {
+      LFS_ASSIGN_OR_RETURN(fm, GetFileMap(ino));
+      LFS_RETURN_IF_ERROR(GrowFileMap(fm, new_blocks_total));
+    }
   }
   return OkStatus();
 }

@@ -7,21 +7,33 @@ namespace {
 
 constexpr uint32_t kPolynomial = 0xEDB88320u;  // reflected IEEE 802.3
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: kTables[0] is the classic byte-at-a-time table, and
+// kTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+// input bytes fold into the state with eight independent lookups.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Tables BuildTables() {
+  Tables t{};
   for (uint32_t i = 0; i < 256; i++) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; bit++) {
       c = (c & 1) ? (kPolynomial ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; i++) {
+    for (size_t k = 1; k < t.size(); k++) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFF] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
 }
 
-const std::array<uint32_t, 256>& Table() {
-  static const std::array<uint32_t, 256> table = BuildTable();
-  return table;
+constexpr Tables kTables = BuildTables();
+
+// Little-endian 32-bit load from an arbitrarily aligned address.
+inline uint32_t LoadLe32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
 }
 
 }  // namespace
@@ -29,9 +41,20 @@ const std::array<uint32_t, 256>& Table() {
 uint32_t Crc32Init() { return 0xFFFFFFFFu; }
 
 uint32_t Crc32Update(uint32_t state, std::span<const uint8_t> data) {
-  const auto& table = Table();
-  for (uint8_t byte : data) {
-    state = table[(state ^ byte) & 0xFF] ^ (state >> 8);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  while (n >= 8) {
+    uint32_t lo = LoadLe32(p) ^ state;
+    uint32_t hi = LoadLe32(p + 4);
+    state = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+            kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+            kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+    p += 8;
+    n -= 8;
+  }
+  for (; n > 0; n--, p++) {
+    state = kTables[0][(state ^ *p) & 0xFF] ^ (state >> 8);
   }
   return state;
 }

@@ -311,5 +311,52 @@ TEST_F(LfsBasicTest, NoSpaceSurfacesCleanly) {
   ASSERT_OK(fs_->WriteFile("/after", TestContent(20, 1000)));
 }
 
+// A multi-block WriteAt flushes mid-write; that flush writes the inode out,
+// marks it clean, and trims the file-map cache once more than its cap (16,384
+// maps) is loaded. The trim visits inodes in ascending order, so it frees the
+// map of the low-numbered file being written. The write must look the map up
+// again after each flush instead of touching the freed one (ASan reports a
+// heap-use-after-free otherwise).
+TEST(LfsFileCacheTest, MultiBlockWriteSurvivesFileMapTrim) {
+  LfsConfig cfg = SmallConfig();
+  cfg.max_inodes = 20000;
+  MemDisk disk(cfg.block_size, 32768);  // 32 MB
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LfsFileSystem> fs, LfsFileSystem::Mkfs(&disk, cfg));
+  ASSERT_OK_AND_ASSIGN(InodeNum target, fs->Create("/target"));
+  constexpr int kDirs = 64;
+  constexpr int kFilesPerDir = 264;  // 16,896 files: above the cache cap
+  std::vector<InodeNum> inos;
+  for (int d = 0; d < kDirs; d++) {
+    std::string dir = "/d" + std::to_string(d);
+    ASSERT_OK(fs->Mkdir(dir));
+    for (int f = 0; f < kFilesPerDir; f++) {
+      ASSERT_OK_AND_ASSIGN(InodeNum ino, fs->Create(dir + "/f" + std::to_string(f)));
+      inos.push_back(ino);
+    }
+  }
+  ASSERT_OK(fs->Sync());
+  // Load every map again (the creates' own flushes trimmed some), all clean.
+  ASSERT_OK(fs->Stat(target).status());
+  for (InodeNum ino : inos) {
+    ASSERT_OK(fs->Stat(ino).status());
+  }
+  // Four write buffers' worth of blocks, starting mid-block so the first and
+  // last blocks are read-modify-writes through the file map.
+  std::vector<uint8_t> data = TestContent(21, 4 * cfg.write_buffer_blocks * cfg.block_size);
+  ASSERT_OK(fs->WriteAt(target, 100, data));
+  std::vector<uint8_t> back(data.size());
+  ASSERT_OK_AND_ASSIGN(uint64_t got, fs->ReadAt(target, 100, back));
+  EXPECT_EQ(got, data.size());
+  EXPECT_EQ(back, data);
+  ASSERT_OK(fs->Unmount());
+  fs.reset();
+  ASSERT_OK_AND_ASSIGN(fs, LfsFileSystem::Mount(&disk, cfg));
+  ASSERT_OK_AND_ASSIGN(FileStat st, fs->Stat(target));
+  EXPECT_EQ(st.size, 100 + data.size());
+  ASSERT_OK_AND_ASSIGN(got, fs->ReadAt(target, 100, back));
+  EXPECT_EQ(got, data.size());
+  EXPECT_EQ(back, data);
+}
+
 }  // namespace
 }  // namespace lfs

@@ -116,6 +116,38 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(Crc32Finish(state), Crc32(data));
 }
 
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven implementation must match bit for bit.
+uint32_t BitwiseCrc32(std::span<const uint8_t> data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; bit++) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtAnyLengthOffsetAndSplit) {
+  Rng rng(2024);
+  std::vector<uint8_t> buf(9000 + 16);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (int trial = 0; trial < 300; trial++) {
+    size_t len = rng.NextBelow(9001);
+    size_t start = rng.NextBelow(16);  // unaligned starts
+    std::span<const uint8_t> data(buf.data() + start, len);
+    uint32_t want = BitwiseCrc32(data);
+    ASSERT_EQ(Crc32(data), want) << "len " << len << " start " << start;
+    size_t split = len == 0 ? 0 : rng.NextBelow(len + 1);
+    uint32_t state = Crc32Update(Crc32Init(), data.subspan(0, split));
+    state = Crc32Update(state, data.subspan(split));
+    ASSERT_EQ(Crc32Finish(state), want) << "len " << len << " split " << split;
+  }
+}
+
 TEST(RngTest, DeterministicForSeed) {
   Rng a(123), b(123), c(124);
   EXPECT_EQ(a.NextU64(), b.NextU64());
