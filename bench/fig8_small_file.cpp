@@ -78,7 +78,7 @@ int main() {
   std::vector<InodeNum> lfs_inos(kNumFiles);
   PhaseResult lfs_create = Measure(
       lfs_inst.disk.get(), cpu, LfsElapsed, kNumFiles,
-      uint64_t{kNumFiles} * kFileSize, [&] {
+      static_cast<uint64_t>(kNumFiles) * kFileSize, [&] {
         for (int i = 0; i < kNumFiles; i++) {
           auto ino = lfs_inst.fs->Create("/bench/f" + std::to_string(i));
           Check(ino.status());
@@ -90,7 +90,7 @@ int main() {
   std::vector<uint8_t> buf(kFileSize);
   PhaseResult lfs_read = Measure(
       lfs_inst.disk.get(), cpu, LfsElapsed, kNumFiles,
-      uint64_t{kNumFiles} * kFileSize, [&] {
+      static_cast<uint64_t>(kNumFiles) * kFileSize, [&] {
         for (int i = 0; i < kNumFiles; i++) {
           Check(lfs_inst.fs->ReadAt(lfs_inos[i], 0, buf).status());
         }
@@ -111,7 +111,7 @@ int main() {
   std::vector<InodeNum> ffs_inos(kNumFiles);
   PhaseResult ffs_create = Measure(
       ffs_inst.disk.get(), cpu, FfsElapsed, kNumFiles,
-      uint64_t{kNumFiles} * kFileSize, [&] {
+      static_cast<uint64_t>(kNumFiles) * kFileSize, [&] {
         for (int i = 0; i < kNumFiles; i++) {
           auto ino = ffs_inst.fs->Create("/bench/f" + std::to_string(i));
           Check(ino.status());
@@ -121,7 +121,7 @@ int main() {
       });
   PhaseResult ffs_read = Measure(
       ffs_inst.disk.get(), cpu, FfsElapsed, kNumFiles,
-      uint64_t{kNumFiles} * kFileSize, [&] {
+      static_cast<uint64_t>(kNumFiles) * kFileSize, [&] {
         for (int i = 0; i < kNumFiles; i++) {
           Check(ffs_inst.fs->ReadAt(ffs_inos[i], 0, buf).status());
         }

@@ -260,7 +260,7 @@ int main() {
   const uint64_t clients_per_tenant = kClients / kTenants;
   for (uint32_t t = 0; t < kTenants; t++) {
     TenantConfig tc;
-    tc.name = "t" + std::to_string(t);
+    tc.name = std::string("t").append(std::to_string(t));
     tc.volume = t % kVolumes;
     tc.max_blocks = (kDiskBytes / lcfg.block_size) / 2;  // half a volume each
     tc.max_inodes = static_cast<uint32_t>(clients_per_tenant * 4);

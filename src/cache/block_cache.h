@@ -9,10 +9,13 @@
 // run-coalesced batches.
 //
 // Structure: capacity is divided across N shards (block number hashed to a
-// shard); each shard owns a mutex, an address->frame hash map, and an LRU
-// list. All operations on one block touch exactly one shard, so disjoint
-// traffic scales with the shard count while a single mutex acquisition
-// bounds every path.
+// shard); each shard owns a mutex, a slot table of frame records, an open-
+// addressed block->slot index, and an LRU list linked through slot indices.
+// A slot's block-sized buffer is allocated the first time the slot is used
+// and reused by every later occupant, so steady-state inserts and evictions
+// allocate nothing. All operations on one block touch exactly one shard, so
+// disjoint traffic scales with the shard count while a single mutex
+// acquisition bounds every path.
 //
 // Eviction: least-recently-used *unpinned* frame of the full shard. A dirty
 // victim is written back through the writeback callback while the shard
@@ -31,10 +34,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
+#include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/disk/block_device.h"
@@ -137,24 +139,65 @@ class BlockCache {
   uint32_t ShardOf(BlockNo block) const;
 
  private:
-  struct Frame {
-    std::vector<uint8_t> data;
-    bool dirty = false;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  // One frame. Free slots are chained through `next`, with refcount 0 and
+  // the dirty bit clear; `data` outlives occupants and is never freed before
+  // the cache.
+  struct Slot {
+    BlockNo block = kNilBlock;
+    uint32_t prev = kNoSlot;  // LRU neighbour toward the most recent end
+    uint32_t next = kNoSlot;  // LRU neighbour toward the least recent end
     uint32_t refcount = 0;
-    std::list<BlockNo>::iterator lru_it;
+    bool dirty = false;
+    std::unique_ptr<uint8_t[]> data;
+  };
+  // Index bucket. Block numbers start at 0 (kNilBlock is a real key here),
+  // so an empty bucket is marked by its slot, never by its block.
+  struct Bucket {
+    BlockNo block = kNilBlock;
+    uint32_t slot = kNoSlot;
   };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<BlockNo, Frame> frames;
-    std::list<BlockNo> lru;  // front = most recently used
+    std::vector<Slot> slots;
+    // Linear probing over a power-of-two number of buckets; home bucket =
+    // hash >> index_shift, i.e. 64 - log2(index.size()).
+    std::vector<Bucket> index = std::vector<Bucket>(16);
+    uint32_t index_shift = 60;
+    uint32_t mru = kNoSlot;     // LRU list head
+    uint32_t lru = kNoSlot;     // LRU list tail
+    uint32_t free = kNoSlot;    // free-slot list head
+    uint64_t live = 0;          // resident frames
+  };
+  // A dirty frame collected by FlushAll.
+  struct DirtyRef {
+    BlockNo block;
+    uint32_t shard;
+    uint32_t slot;
   };
 
   // All helpers run with shard.mu held by the caller. Eviction is
   // best-effort: a victim whose writeback fails is kept (the next flush
   // retries) and the shard overcommits instead of losing dirty data.
-  void Touch(Shard& shard, Frame& frame, BlockNo block);
+  Shard& ShardFor(BlockNo block, uint64_t* hash);
+  const Shard& ShardFor(BlockNo block, uint64_t* hash) const;
+  // Returns the slot holding `block`, or kNoSlot; `*bucket` (optional)
+  // receives its index position.
+  static uint32_t Find(const Shard& shard, BlockNo block, uint64_t hash,
+                       size_t* bucket = nullptr);
+  static void IndexInsert(Shard& shard, BlockNo block, uint64_t hash, uint32_t slot);
+  static void IndexErase(Shard& shard, size_t bucket);
+  static void LinkFront(Shard& shard, uint32_t slot);
+  static void Unlink(Shard& shard, uint32_t slot);
+  static void Touch(Shard& shard, uint32_t slot);
+  // Unlinks and unindexes a resident frame and returns its slot to the free
+  // list.
+  static void Remove(Shard& shard, uint32_t slot);
+  void Store(Slot& slot, std::span<const uint8_t> data) const;
   void EvictIfFull(Shard& shard);
-  Frame* Insert(Shard& shard, BlockNo block, std::span<const uint8_t> data, bool dirty);
+  void Insert(Shard& shard, BlockNo block, uint64_t hash, std::span<const uint8_t> data,
+              bool dirty);
 
   uint64_t capacity_;
   uint64_t shard_capacity_;
@@ -163,6 +206,10 @@ class BlockCache {
   obs::TraceBuffer* tracer_;
   std::vector<Shard> shards_;
   BlockCacheStats stats_;
+  // FlushAll scratch, reused across calls (guarded by holding every shard
+  // lock).
+  std::vector<DirtyRef> flush_dirty_;
+  std::vector<uint8_t> flush_run_;
 };
 
 }  // namespace lfs::cache

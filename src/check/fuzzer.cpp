@@ -92,7 +92,8 @@ Workload FuzzWorkload(uint64_t seed, const FuzzOptions& options) {
   };
   auto fresh_name = [&]() -> std::string {
     for (int attempt = 0; attempt < 8; attempt++) {
-      std::string cand = JoinName(pick_dir(), "f" + std::to_string(rng.NextBelow(8)));
+      std::string cand =
+          JoinName(pick_dir(), std::string("f").append(std::to_string(rng.NextBelow(8))));
       if (t.NameFree(cand)) {
         return cand;
       }
@@ -201,9 +202,9 @@ Workload FuzzWorkload(uint64_t seed, const FuzzOptions& options) {
         w.ops.push_back(std::move(op));
       }
     } else if (r < 94) {
-      w.ops.push_back({OpKind::kSync});
+      w.ops.push_back({.kind = OpKind::kSync});
     } else {
-      w.ops.push_back({OpKind::kClean});  // cleaner activation mid-trace
+      w.ops.push_back({.kind = OpKind::kClean});  // cleaner activation mid-trace
     }
   }
   return w;

@@ -256,26 +256,16 @@ Workload SmallFilesWorkload() {
   w.disk_blocks = 2048;
   w.num_logs = 1;
   w.write_buffer_blocks = 16;
-  auto create = [&](const std::string& p) { w.ops.push_back({OpKind::kCreate, p}); };
-  auto mkdir = [&](const std::string& p) { w.ops.push_back({OpKind::kMkdir, p}); };
-  auto unlink = [&](const std::string& p) { w.ops.push_back({OpKind::kUnlink, p}); };
+  auto create = [&](const std::string& p) { w.ops.push_back({.kind = OpKind::kCreate, .a = p}); };
+  auto mkdir = [&](const std::string& p) { w.ops.push_back({.kind = OpKind::kMkdir, .a = p}); };
+  auto unlink = [&](const std::string& p) { w.ops.push_back({.kind = OpKind::kUnlink, .a = p}); };
   auto write = [&](const std::string& p, uint64_t off, uint64_t len, uint64_t seed) {
-    Op op;
-    op.kind = OpKind::kWrite;
-    op.a = p;
-    op.offset = off;
-    op.length = len;
-    op.seed = seed;
-    w.ops.push_back(std::move(op));
+    w.ops.push_back({.kind = OpKind::kWrite, .a = p, .offset = off, .length = len, .seed = seed});
   };
   auto truncate = [&](const std::string& p, uint64_t len) {
-    Op op;
-    op.kind = OpKind::kTruncate;
-    op.a = p;
-    op.length = len;
-    w.ops.push_back(std::move(op));
+    w.ops.push_back({.kind = OpKind::kTruncate, .a = p, .length = len});
   };
-  auto sync = [&] { w.ops.push_back({OpKind::kSync}); };
+  auto sync = [&] { w.ops.push_back({.kind = OpKind::kSync}); };
 
   mkdir("/d0");
   mkdir("/d1");
@@ -298,7 +288,7 @@ Workload SmallFilesWorkload() {
   truncate("/d0/a", 0);
   write("/d0/a", 0, 800, 18);
   sync();
-  w.ops.push_back({OpKind::kClean});
+  w.ops.push_back({.kind = OpKind::kClean});
   write("/d1/d", 512, 3000, 19);
   unlink("/f0");
   create("/f1");
@@ -314,20 +304,14 @@ Workload NamespaceWorkload() {
   w.disk_blocks = 2048;
   w.num_logs = 2;
   w.write_buffer_blocks = 12;
-  auto op1 = [&](OpKind k, const std::string& a) { w.ops.push_back({k, a}); };
+  auto op1 = [&](OpKind k, const std::string& a) { w.ops.push_back({.kind = k, .a = a}); };
   auto op2 = [&](OpKind k, const std::string& a, const std::string& b) {
-    w.ops.push_back({k, a, b});
+    w.ops.push_back({.kind = k, .a = a, .b = b});
   };
   auto write = [&](const std::string& p, uint64_t off, uint64_t len, uint64_t seed) {
-    Op op;
-    op.kind = OpKind::kWrite;
-    op.a = p;
-    op.offset = off;
-    op.length = len;
-    op.seed = seed;
-    w.ops.push_back(std::move(op));
+    w.ops.push_back({.kind = OpKind::kWrite, .a = p, .offset = off, .length = len, .seed = seed});
   };
-  auto sync = [&] { w.ops.push_back({OpKind::kSync}); };
+  auto sync = [&] { w.ops.push_back({.kind = OpKind::kSync}); };
 
   op1(OpKind::kMkdir, "/a");
   op1(OpKind::kMkdir, "/a/sub");
@@ -348,19 +332,13 @@ Workload NamespaceWorkload() {
   write("/b/g", 0, 2600, 34);
   op2(OpKind::kRename, "/b/g", "/a/sub/g");  // cross-directory move
   op1(OpKind::kUnlink, "/b/l1");
-  {
-    Op t;
-    t.kind = OpKind::kTruncate;
-    t.a = "/a/f2";
-    t.length = 300;
-    w.ops.push_back(std::move(t));
-  }
+  w.ops.push_back({.kind = OpKind::kTruncate, .a = "/a/f2", .length = 300});
   sync();
   op1(OpKind::kUnlink, "/a/sub/l2");
   op1(OpKind::kUnlink, "/a/f1");
   op1(OpKind::kUnlink, "/a/sub/g");
   op1(OpKind::kRmdir, "/a/sub");
-  w.ops.push_back({OpKind::kClean});
+  w.ops.push_back({.kind = OpKind::kClean});
   op1(OpKind::kCreate, "/b/h");
   write("/b/h", 0, 1200, 35);
   op2(OpKind::kRename, "/b/h", "/b/h2");  // tail rename, never synced

@@ -46,10 +46,12 @@ enum class OpKind : uint8_t {
   kClean,    // one forced cleaner pass
 };
 
+// Built with designated initializers ({.kind = ..., .a = ...}); every member
+// has a default initializer, so fields left out are well defined.
 struct Op {
   OpKind kind = OpKind::kSync;
-  std::string a;
-  std::string b;
+  std::string a = {};
+  std::string b = {};
   uint64_t offset = 0;
   uint64_t length = 0;
   uint64_t seed = 0;
